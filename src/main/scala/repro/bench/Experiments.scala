@@ -30,6 +30,21 @@ object Experiments {
   /** Inflation memory guard ~ what 32 GB held for the paper, scaled. */
   val outEdgeLimit: Long = sys.env.getOrElse("REPRO_OUT_EDGES", "30000000").toLong
 
+  /** Run one algorithm until it finishes, `sink` stops it or `dl` passes.
+    * Returns whether it finished within the deadline, or None when
+    * FaPlexen's inflated graph would not fit (the paper's OUT).
+    */
+  private def runAlgo(algo: String, g: BipartiteGraph, k: Int, iTraversalCfg: TraversalConfig,
+                      sink: Solution => Boolean, dl: Long): Option[Boolean] = algo match {
+    case "iMB"        => Some(IMB.enumerate(g, k, sink, 0, 0, dl))
+    case "FaPlexen"   =>
+      if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) None
+      else Some(InflationBaseline.enumerate(g, k, sink, dl))
+    case "bTraversal" => Some(!ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl).aborted)
+    case "iTraversal" => Some(!ReverseSearch.run(g, k, iTraversalCfg, sink, dl).aborted)
+    case other        => sys.error(s"unknown algorithm $other")
+  }
+
   /** Run one algorithm until n solutions; returns (cell, found).
     * The cell is elapsed millis, "INF" (budget hit) or "OUT".
     */
@@ -38,26 +53,8 @@ object Experiments {
     var found = 0L
     val dl = Harness.deadline(budgetMs)
     def sink(s: Solution): Boolean = { found += 1; found < n }
-    algo match {
-      case "iMB" =>
-        val (completed, ms) = Harness.timed(IMB.enumerate(g, k, sink, 0, 0, dl))
-        (Harness.cell(ms, completed || found >= n), found)
-      case "FaPlexen" =>
-        if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) ("OUT", 0L)
-        else {
-          val (completed, ms) = Harness.timed(InflationBaseline.enumerate(g, k, sink, dl))
-          (Harness.cell(ms, completed || found >= n), found)
-        }
-      case "bTraversal" =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl))
-        (Harness.cell(ms, !stats.aborted), found)
-      case "iTraversal" =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, iTraversalScaled, sink, dl))
-        (Harness.cell(ms, !stats.aborted), found)
-      case other => sys.error(s"unknown algorithm $other")
-    }
+    val (finished, ms) = Harness.timed(runAlgo(algo, g, k, iTraversalScaled, sink, dl))
+    (finished.fold("OUT")(f => Harness.cell(ms, f || found >= n)), found)
   }
 
   // -------------------------------------------------------------------
@@ -96,21 +93,15 @@ object Experiments {
   // E3 — Figure 8: delay (full enumeration, small datasets)
   // -------------------------------------------------------------------
 
-  /** Max delay in microseconds over a full enumeration, or INF. */
+  /** Max delay in microseconds over a full enumeration, or INF / OUT. */
   def runDelay(algo: String, g: BipartiteGraph, k: Int, budgetMs: Long = Harness.budgetMs): String = {
     val meter = new Harness.DelayMeter
     val dl = Harness.deadline(budgetMs)
-    def sink(s: Solution): Boolean = { meter.tick(); true }
-    val completed = algo match {
-      case "iMB"        => IMB.enumerate(g, k, sink, 0, 0, dl)
-      case "FaPlexen"   =>
-        if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) return "OUT"
-        InflationBaseline.enumerate(g, k, sink, dl)
-      case "bTraversal" => !ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl).aborted
-      case "iTraversal" => !ReverseSearch.run(g, k, TraversalConfig.iTraversal, sink, dl).aborted
-      case other        => sys.error(s"unknown algorithm $other")
+    runAlgo(algo, g, k, TraversalConfig.iTraversal, _ => { meter.tick(); true }, dl) match {
+      case None        => "OUT"
+      case Some(true)  => s"${meter.finish()}"
+      case Some(false) => "INF"
     }
-    if (completed) s"${meter.finish()}" else "INF"
   }
 
   def delayTable(datasets: Seq[(String, BipartiteGraph)], ks: Seq[Int],
@@ -183,34 +174,30 @@ object Experiments {
     "iTraversal"          -> TraversalConfig.iTraversal,
   )
 
+  /** Links and time (ms) of each variant on (g, k): the cells of one row. */
+  private def variantCells(g: BipartiteGraph, k: Int, budgetMs: Long): Seq[String] =
+    variantNames.flatMap { case (_, cfg) =>
+      val (stats, ms) = Harness.timed(
+        ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(budgetMs)))
+      Seq(if (stats.aborted) s">=${stats.links} (INF)" else s"${stats.links}",
+        Harness.cell(ms, !stats.aborted))
+    }
+
+  private def variantHeader: Seq[String] =
+    variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }
+
   def solutionGraphTable(datasets: Seq[(String, BipartiteGraph)], k: Int,
                          budgetMs: Long = Harness.budgetMs * 3): Harness.Table = {
-    val rows = datasets.map { case (name, g) =>
-      val cells = variantNames.flatMap { case (_, cfg) =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(budgetMs)))
-        Seq(if (stats.aborted) s">=${stats.links} (INF)" else s"${stats.links}",
-          Harness.cell(ms, !stats.aborted))
-      }
-      name +: cells
-    }
+    val rows = datasets.map { case (name, g) => name +: variantCells(g, k, budgetMs) }
     Harness.Table(s"e6_links_k$k", s"Fig 11(a,b): solution-graph links and time (ms), k=$k",
-      "dataset" +: variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }, rows).emit()
+      "dataset" +: variantHeader, rows).emit()
   }
 
   def solutionGraphVaryK(dataset: String, g: BipartiteGraph, ks: Seq[Int],
                          budgetMs: Long = Harness.budgetMs * 3): Harness.Table = {
-    val rows = ks.map { k =>
-      val cells = variantNames.flatMap { case (_, cfg) =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(budgetMs)))
-        Seq(if (stats.aborted) s">=${stats.links} (INF)" else s"${stats.links}",
-          Harness.cell(ms, !stats.aborted))
-      }
-      s"k=$k" +: cells
-    }
+    val rows = ks.map(k => s"k=$k" +: variantCells(g, k, budgetMs))
     Harness.Table(s"e6_varyk_$dataset", s"Fig 11(c,d): $dataset, links and time (ms) vs k",
-      "k" +: variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }, rows).emit()
+      "k" +: variantHeader, rows).emit()
   }
 
   // -------------------------------------------------------------------

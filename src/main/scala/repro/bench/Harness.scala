@@ -6,7 +6,8 @@ import java.nio.charset.StandardCharsets
 /** Small benchmarking utilities shared by the bench suites and jobs/:
   * wall-clock timing, per-solution delay capture, and a fixed-width /
   * markdown table renderer that also persists results under
-  * `bench_results/` so EXPERIMENTS.md can be regenerated.
+  * `bench_results/` (the committed tables are the `.md` files under
+  * `bench/bench_results`).
   */
 object Harness {
 

@@ -95,9 +95,11 @@ object Biplex {
 
   /** Does some right vertex outside R extend (L, R) to a larger k-biplex?
     *
-    * This is the right-shrinking test of Algorithm 2 line 7, done without
-    * scanning the whole right universe: an addable u must (a) connect every
-    * saturated left vertex and (b) have δ̄(u,L) ≤ k.
+    * Done without scanning the whole right universe: an addable u must
+    * (a) connect every saturated left vertex and (b) have δ̄(u,L) ≤ k. The
+    * traversal engine's right-shrinking test (Algorithm 2 line 7) is
+    * `ReverseSearch.admitsRightVertex`, which reads saturation from the
+    * node's EnumAlmostSat context instead.
     */
   def existsAddableRight(g: BipartiteGraph, k: Int, l: Array[Int], r: Array[Int]): Boolean = {
     if (r.length == g.nR) return false
@@ -150,18 +152,11 @@ object Biplex {
       leftOnly: Boolean,
       deferLeft: Option[Int => Boolean] = None,
   ): Solution = {
-    var l = l0
-    var r = r0
-    deferLeft match {
-      case None =>
-        l = extendLeftPass(g, k, l, r, _ => true)
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
-      case Some(d) =>
-        l = extendLeftPass(g, k, l, r, v => !d(v))
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
-        l = extendLeftPass(g, k, l, r, d)
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
+    val l = deferLeft match {
+      case None    => extendLeftPass(g, k, l0, r0, _ => true)
+      case Some(d) => extendLeftPass(g, k, extendLeftPass(g, k, l0, r0, v => !d(v)), r0, d)
     }
+    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, _ => true)
     Solution(l, r)
   }
 
@@ -187,27 +182,16 @@ object Biplex {
       if (dbar(i) == k) satR = VertexSets.add(satR, r(i))
       i += 1
     }
-    // Accepted vertices are buffered (candidates arrive in ascending order,
-    // so the buffer stays sorted) and merged into l0 once at the end —
+    // Accepted vertices are buffered and merged into l0 once at the end —
     // re-allocating the set per add would be quadratic when a pass accepts
     // a large fraction of the universe (e.g. extending toward (L, ∅)).
+    // Every branch below offers candidates in strictly ascending order, so
+    // the buffer stays sorted and never holds a candidate offered again.
     val added = new mutable.ArrayBuffer[Int]
-    def inCurrent(v: Int): Boolean = {
-      if (VertexSets.contains(l0, v)) return true
-      var lo = 0
-      var hi = added.length - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        val x = added(mid)
-        if (x == v) return true
-        if (x < v) lo = mid + 1 else hi = mid - 1
-      }
-      false
-    }
 
     /** Check v and, if addable, add it and update the bookkeeping. */
     def tryAdd(v: Int): Boolean = {
-      if (!pred(v) || inCurrent(v)) return false
+      if (!pred(v) || VertexSets.contains(l0, v)) return false
       val nb = g.adjL(v)
       val db = if (fullRight) g.nR - nb.length else r.length - VertexSets.intersectCount(nb, r)
       if (db > k) return false
@@ -216,11 +200,7 @@ object Biplex {
         if (!VertexSets.contains(nb, satR(s))) return false
         s += 1
       }
-      if (added.nonEmpty && added.last > v) {
-        // Deferred-pass candidates can arrive out of order; keep sorted.
-        val p = added.search(v)(Ordering.Int).insertionPoint
-        added.insert(p, v)
-      } else added += v
+      added += v
       var j = 0
       while (j < r.length) {
         if (!VertexSets.contains(nb, r(j))) {

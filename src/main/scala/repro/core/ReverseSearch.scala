@@ -18,19 +18,45 @@ final case class EnumStats(
     millis: Long,
 )
 
+/** The four traversals compared in Figure 11, in order: each adds one
+  * sparsification technique to the one before.
+  */
+sealed abstract class Traversal(private val rank: Int) extends Ordered[Traversal] {
+  def compare(that: Traversal): Int = rank - that.rank
+}
+
+object Traversal {
+  /** bTraversal (Algorithm 1): an arbitrary initial solution, seeds on
+    * both sides, full extension.
+    */
+  case object Basic extends Traversal(0)
+
+  /** iTraversal−ES−RS: left-anchored traversal (Section 3.3) — start from
+    * H0 = (L0, R_all) and seed almost-satisfying graphs with left vertices
+    * only.
+    */
+  case object LeftAnchored extends Traversal(1)
+
+  /** iTraversal−ES: adds right-shrinking traversal (Section 3.4) — discard
+    * local solutions that still admit a right vertex and extend with left
+    * vertices only.
+    */
+  case object RightShrinking extends Traversal(2)
+
+  /** iTraversal: adds the exclusion strategy (Section 3.5) — prune links
+    * toward solutions containing a vertex of the exclusion set, which a
+    * node inherits from its parent and grows by each seed it processes.
+    */
+  case object Exclusion extends Traversal(3)
+}
+
 /** Configuration of the reverse-search engine.
   *
-  * @param leftAnchored  start from H0 = (L0, R_all) and seed almost-satisfying
-  *                      graphs with left vertices only (Section 3.3)
-  * @param rightShrinking discard local solutions that still admit a right
-  *                      vertex and extend with left vertices only (Section 3.4)
-  * @param exclusion     prune links toward solutions containing a vertex of
-  *                      the exclusion set (Section 3.5); requires leftAnchored
-  * @param inheritExclusion child nodes inherit the parent's exclusion set
+  * @param traversal     which of the four Figure-11 traversals to run
   * @param eas           EnumAlmostSat implementation (Section 4)
   * @param theta         large-MBP mode (θL, θR): report only solutions with
   *                      |L| >= θL and |R| >= θR and apply the Section-5
-  *                      prunings (requires rightShrinking)
+  *                      prunings (requires right-shrinking traversal)
   * @param twoHopSeeds   restrict almost-satisfying-graph seeds at a node
   *                      (L, R) to left vertices with Γ(v) ∩ R ≠ ∅. Lossless
   *                      for every MBP whose right side exceeds k: any left
@@ -43,58 +69,46 @@ final case class EnumStats(
   *                      implementation reaches billion-edge graphs.
   */
 final case class TraversalConfig(
-    leftAnchored: Boolean,
-    rightShrinking: Boolean,
-    exclusion: Boolean,
-    inheritExclusion: Boolean = true,
+    traversal: Traversal,
     eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
     theta: Option[(Int, Int)] = None,
     twoHopSeeds: Boolean = false,
 ) {
-  require(!exclusion || leftAnchored, "exclusion strategy requires left-anchored traversal")
-  require(theta.isEmpty || rightShrinking, "size-constrained mode requires right-shrinking traversal")
+  require(theta.isEmpty || traversal >= Traversal.RightShrinking,
+    "size-constrained mode requires right-shrinking traversal")
 }
 
 object TraversalConfig {
   /** Algorithm 1 with the inflation-based EnumAlmostSat (paper's bTraversal). */
-  val bTraversal: TraversalConfig =
-    TraversalConfig(leftAnchored = false, rightShrinking = false, exclusion = false,
-      eas = EnumAlmostSat.Inflated)
+  val bTraversal: TraversalConfig = TraversalConfig(Traversal.Basic, eas = EnumAlmostSat.Inflated)
 
   /** Algorithm 2, all three techniques (paper's iTraversal). */
-  val iTraversal: TraversalConfig =
-    TraversalConfig(leftAnchored = true, rightShrinking = true, exclusion = true)
+  val iTraversal: TraversalConfig = TraversalConfig(Traversal.Exclusion)
 
   /** iTraversal without the exclusion strategy. */
-  val iTraversalNoES: TraversalConfig = iTraversal.copy(exclusion = false)
+  val iTraversalNoES: TraversalConfig = iTraversal.copy(traversal = Traversal.RightShrinking)
 
   /** iTraversal without exclusion and right-shrinking (left-anchored only). */
-  val iTraversalNoESNoRS: TraversalConfig =
-    iTraversal.copy(exclusion = false, rightShrinking = false)
+  val iTraversalNoESNoRS: TraversalConfig = iTraversal.copy(traversal = Traversal.LeftAnchored)
 }
 
 /** Reverse-search enumeration of maximal k-biplexes: a DFS over the implicit
-  * solution graph, parameterized by the paper's three sparsification
-  * techniques (bTraversal = none, iTraversal = all).
+  * solution graph, run as one of the four traversals of Figure 11
+  * (bTraversal = no sparsification technique, iTraversal = all three).
   */
 object ReverseSearch {
-
-  /** Restriction of the root expansion — used by the distributed runner to
-    * ship one root-level subtree per task.
-    *
-    * @param seeds     left seeds to process at the root (deeper levels are
-    *                  unrestricted)
-    * @param exclusion initial exclusion set (the snapshot the sequential
-    *                  run would have had when reaching the first seed)
-    * @param emitRoot  whether H0 itself is reported
-    */
-  final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int], emitRoot: Boolean)
 
   /** Enumerate maximal k-biplexes of g.
     *
     * `sink` receives each solution exactly once (pre-order); returning
     * false aborts the run ("first N MBPs"). `deadlineNanos` (absolute,
     * System.nanoTime scale) aborts long runs — the paper's INF budget.
+    *
+    * `rootSeed` >= 0 restricts the run to one root subtree of a
+    * left-anchored traversal, as the distributed runner ships them: H0 is
+    * not reported, and the root expands only that left seed. The earlier
+    * root seeds still join the exclusion set, exactly as in the sequential
+    * run; the later ones are not visited.
     *
     * The DFS runs in a dedicated 512 MB-stack thread because solution
     * graphs can be deep.
@@ -105,7 +119,7 @@ object ReverseSearch {
       cfg: TraversalConfig,
       sink: Solution => Boolean,
       deadlineNanos: Long = Long.MaxValue,
-      rootRestrict: Option[RootRestrict] = None,
+      rootSeed: Int = -1,
   ): EnumStats = BigStack.run {
     val t0 = System.nanoTime
     var solutions = 0L
@@ -113,6 +127,9 @@ object ReverseSearch {
     var easCalls = 0L
     var deadlineHit = false
     val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
+    val leftAnchored = cfg.traversal >= Traversal.LeftAnchored
+    val rightShrinking = cfg.traversal >= Traversal.RightShrinking
+    val exclusion = cfg.traversal >= Traversal.Exclusion
     val visited = new mutable.HashSet[Vector[Int]]
 
     def timeUp(): Boolean = {
@@ -128,46 +145,21 @@ object ReverseSearch {
     }
 
     /** The (i)ThreeStep procedure from solution (l, r) with exclusion set x.
-      * `seedFilter` restricts the seeds processed at this node (root-level
-      * task splitting); recursive calls are unrestricted.
+      * `onlySeed` >= 0 expands that left seed alone (see `rootSeed`).
       */
-    def expand(l: Array[Int], r: Array[Int], x: Array[Int], seedFilter: Int => Boolean = _ => true): Boolean = {
+    def expand(l: Array[Int], r: Array[Int], x: Array[Int], onlySeed: Int = -1): Boolean = {
       if (r.length < thetaR) return true // solution pruning
-      if (cfg.exclusion && g.nL - x.length < thetaL) return true // left-side pruning
+      if (exclusion && g.nL - x.length < thetaL) return true // left-side pruning
       var xCur = x
       var ok = true
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
       lazy val ctx = EnumAlmostSat.buildCtx(g, l, r)
-      var curSeed = -1 // current left seed, for the fast line-7 check
 
-      // `lFull`/`rPrime` are always in original orientation (left, right);
-      // for right-side seeds the extension runs on the flipped graph.
-      def handleLocal(lFull: Array[Int], rPrime: Array[Int], flippedSeed: Boolean): Boolean = {
-        if (timeUp()) return false
-        // Right-shrinking traversal (Algorithm 2 line 7): drop local
-        // solutions that still admit a vertex from the right universe.
-        // Fast path: when the seed v is saturated (δ̄(v,R') = k), every
-        // right vertex outside R' that disconnects v is blocked by v, so
-        // only Γ(v) \ R' needs checking.
-        if (cfg.rightShrinking) {
-          val admits =
-            if (curSeed >= 0) admitsRightVertex(g, k, ctx, curSeed, lFull, rPrime)
-            else Biplex.existsAddableRight(g, k, lFull, rPrime)
-          if (admits) return true
-        }
-        if (cfg.exclusion && intersects(lFull, xCur)) return true
-        val ext =
-          if (flippedSeed)
-            Biplex.extend(g.flipped, k, rPrime, lFull, leftOnly = false).flip
-          else
-            Biplex.extend(
-              g, k, lFull, rPrime,
-              leftOnly = cfg.rightShrinking,
-              deferLeft = if (cfg.exclusion && xCur.nonEmpty) Some(xv => VertexSets.contains(xCur, xv)) else None,
-            )
+      /** Follow the link to the extension `ext` of a local solution. */
+      def follow(ext: Solution): Boolean = {
         links += 1
-        if (cfg.exclusion && intersects(ext.left, xCur)) return true
+        if (exclusion && intersects(ext.left, xCur)) return true
         val key = ext.key(g.nL)
         if (!visited.contains(key)) {
           visited += key
@@ -177,42 +169,55 @@ object ReverseSearch {
         true
       }
 
-      // Left-side seeds (all frameworks). In two-hop mode only vertices
+      /** A local solution (lFull = L' ∪ {v}, rPrime) of left seed v. */
+      def handleLocal(v: Int, lFull: Array[Int], rPrime: Array[Int]): Boolean = {
+        if (timeUp()) return false
+        // Right-shrinking traversal (Algorithm 2 line 7): drop local
+        // solutions that still admit a vertex from the right universe.
+        if (rightShrinking && admitsRightVertex(g, k, ctx, v, lFull, rPrime)) return true
+        if (exclusion && intersects(lFull, xCur)) return true
+        follow(Biplex.extend(
+          g, k, lFull, rPrime,
+          leftOnly = rightShrinking,
+          deferLeft = if (exclusion && xCur.nonEmpty) Some(xv => VertexSets.contains(xCur, xv)) else None,
+        ))
+      }
+
+      // Left-side seeds (all traversals). In two-hop mode only vertices
       // neighbouring R are seeded (see TraversalConfig.twoHopSeeds).
       val leftSeeds: Iterator[Int] =
         if (cfg.twoHopSeeds && r.length < g.nR) {
           val lists = new Array[Array[Int]](r.length)
           var i = 0
           while (i < r.length) { lists(i) = g.adjR(r(i)); i += 1 }
-          Biplex.atLeastCount(lists, 1).iterator
-            .filter(v => seedFilter(v) && !VertexSets.contains(l, v))
+          Biplex.atLeastCount(lists, 1).iterator.filter(v => !VertexSets.contains(l, v))
         } else {
-          (0 until g.nL).iterator.filter(v => seedFilter(v) && !VertexSets.contains(l, v))
+          (0 until g.nL).iterator.filter(v => !VertexSets.contains(l, v))
         }
       while (ok && leftSeeds.hasNext) {
         val v = leftSeeds.next()
+        if (onlySeed >= 0 && v > onlySeed) return true
         if (timeUp()) { ok = false }
         else {
-          // Almost-satisfying-graph pruning (Section 5).
-          val skip = cfg.theta.isDefined &&
-            VertexSets.intersectCount(g.adjL(v), r) + k < thetaR
+          // Seeds before `onlySeed` only join the exclusion set; then
+          // almost-satisfying-graph pruning (Section 5).
+          val skip = v < onlySeed ||
+            cfg.theta.isDefined && VertexSets.intersectCount(g.adjL(v), r) + k < thetaR
           if (!skip) {
             easCalls += 1
-            curSeed = v
             ok = EnumAlmostSat.run(
               g, k, l, r, v, cfg.eas,
-              emit = (lf, rp) => handleLocal(lf, rp, flippedSeed = false),
+              emit = (lf, rp) => handleLocal(v, lf, rp),
               minRight = thetaR,
               deadlineNanos = deadlineNanos,
               ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
             )
-            curSeed = -1
           }
-          if (ok && cfg.exclusion) xCur = VertexSets.add(xCur, v)
+          if (ok && exclusion) xCur = VertexSets.add(xCur, v)
         }
       }
       // Right-side seeds (bTraversal only; pruned by left-anchored traversal).
-      if (ok && !cfg.leftAnchored) {
+      if (ok && !leftAnchored && onlySeed < 0) {
         val fg = g.flipped
         val rightSeeds = (0 until g.nR).iterator.filter(u => !VertexSets.contains(r, u))
         while (ok && rightSeeds.hasNext) {
@@ -222,7 +227,7 @@ object ReverseSearch {
             easCalls += 1
             ok = EnumAlmostSat.run(
               fg, k, r, l, u, cfg.eas,
-              emit = (rf, lp) => handleLocal(lp, rf, flippedSeed = true),
+              emit = (rf, lp) => !timeUp() && follow(Biplex.extend(fg, k, rf, lp, leftOnly = false).flip),
               deadlineNanos = deadlineNanos,
             )
           }
@@ -232,17 +237,11 @@ object ReverseSearch {
     }
 
     val h0 =
-      if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
+      if (leftAnchored) Biplex.initialLeftAnchored(g, k)
       else Biplex.initialArbitrary(g, k)
     visited += h0.key(g.nL)
-    rootRestrict match {
-      case None =>
-        if (report(h0)) expand(h0.left, h0.right, VertexSets.empty)
-      case Some(rr) =>
-        val proceed = if (rr.emitRoot) report(h0) else true
-        if (proceed)
-          expand(h0.left, h0.right, rr.exclusion, v => VertexSets.contains(rr.seeds, v))
-    }
+    if (rootSeed >= 0) expand(h0.left, h0.right, VertexSets.empty, rootSeed)
+    else if (report(h0)) expand(h0.left, h0.right, VertexSets.empty)
     // A deadline that fired inside EnumAlmostSat short-circuits without
     // passing through timeUp(); catch it here.
     if (System.nanoTime >= deadlineNanos) deadlineHit = true

@@ -9,11 +9,11 @@ import scala.collection.mutable
   * level of the solution graph.
   *
   * The driver computes the initial solution H0 = (L0, R_all) and the list
-  * of root seeds (left vertices outside L0, in the order the sequential
-  * algorithm would process them) together with the exclusion-set snapshot
-  * each seed would have observed. Each seed becomes one task in an RDD;
-  * executors run the *same* engine ([[ReverseSearch]]) on the broadcast
-  * graph, restricted to their seed's root subtree. Subtrees can overlap
+  * of root seeds (left vertices outside L0). Each seed becomes one task in
+  * an RDD; executors run the *same* engine ([[ReverseSearch]]) on the
+  * broadcast graph, restricted to their seed's root subtree. The engine
+  * works out the exclusion set that seed would have seen in the sequential
+  * run from the seed order itself. Subtrees can overlap
   * (tasks keep only a local visited set), so solutions are deduplicated
   * globally with a DataFrame `distinct` — correctness is preserved because
   * reachability, not the visited set, defines the solution set.
@@ -42,15 +42,13 @@ object DistITraversal {
     val cfg = TraversalConfig.iTraversal.copy(eas = eas)
     val h0 = Biplex.initialLeftAnchored(g, k)
 
-    // Root seeds in sequential order, each with its exclusion snapshot.
-    val seeds = (0 until g.nL).filter(v => !VertexSets.contains(h0.left, v)).toArray
-    val tasks = seeds.zipWithIndex.map { case (v, i) => (v, seeds.take(i)) }
+    val seeds = (0 until g.nL).filter(v => !VertexSets.contains(h0.left, v))
 
     val bcG = spark.sparkContext.broadcast(g)
     val slices = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
     val found = spark.sparkContext
-      .parallelize(tasks.toIndexedSeq, math.max(1, math.min(slices, math.max(1, tasks.length))))
-      .flatMap { case (seed, exclusion) =>
+      .parallelize(seeds, math.max(1, math.min(slices, math.max(1, seeds.length))))
+      .flatMap { seed =>
         val graph = bcG.value
         val out = mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
         var n = 0
@@ -61,7 +59,7 @@ object DistITraversal {
             n += 1
             maxPerTask <= 0 || n < maxPerTask
           },
-          rootRestrict = Some(ReverseSearch.RootRestrict(Array(seed), exclusion, emitRoot = false)),
+          rootSeed = seed,
         )
         out
       }

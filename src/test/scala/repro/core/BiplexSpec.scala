@@ -23,19 +23,24 @@ class BiplexSpec extends SparkSpec {
     assert(Biplex.dbarR(e, 1, Array(0, 1)) == 2)
   }
 
+  /** A random k-biplex (L, R) of g, grown greedily from random orders. */
+  private def randomBiplex(g: repro.graph.BipartiteGraph, k: Int, rnd: Random): (Array[Int], Array[Int]) = {
+    var l = VertexSets.empty
+    var r = VertexSets.empty
+    rnd.shuffle((0 until g.nL).toList).foreach { v =>
+      if (rnd.nextBoolean() && naiveAddableL(g, k, v, l, r)) l = VertexSets.add(l, v)
+    }
+    rnd.shuffle((0 until g.nR).toList).foreach { u =>
+      if (rnd.nextBoolean() && naiveAddableR(g, k, u, l, r)) r = VertexSets.add(r, u)
+    }
+    (l, r)
+  }
+
   for (k <- 0 to 3) {
     test(s"addableL/addableR match definition (k=$k)") {
       val rnd = new Random(500 + k)
       for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 600 + k)) {
-        // random k-biplex (L,R): grow greedily from random order
-        var l = VertexSets.empty
-        var r = VertexSets.empty
-        rnd.shuffle((0 until g.nL).toList).foreach { v =>
-          if (rnd.nextBoolean() && naiveAddableL(g, k, v, l, r)) l = VertexSets.add(l, v)
-        }
-        rnd.shuffle((0 until g.nR).toList).foreach { u =>
-          if (rnd.nextBoolean() && naiveAddableR(g, k, u, l, r)) r = VertexSets.add(r, u)
-        }
+        val (l, r) = randomBiplex(g, k, rnd)
         assert(Biplex.isKBiplex(g, k, l, r), s"seed $seed")
         for (v <- 0 until g.nL if !VertexSets.contains(l, v)) {
           assert(Biplex.addableL(g, k, v, l, r) == naiveAddableL(g, k, v, l, r), s"seed $seed v=$v")
@@ -70,6 +75,28 @@ class BiplexSpec extends SparkSpec {
           assert(!Biplex.addableL(g, k, v, s.left, s.right), s"seed $seed v=$v")
         }
       }
+    }
+  }
+
+  for (k <- 0 to 2) {
+    test(s"extend with deferred left vertices is left-maximal and defers (k=$k)") {
+      val rnd = new Random(850 + k)
+      var withDeferred, withoutDeferred = 0
+      for ((g, seed) <- TestGraphs.smallBatch(60, maxSide = 7, seed = 860 + k)) {
+        val (l, r) = randomBiplex(g, k, rnd)
+        val d = (0 until g.nL).filter(v => !VertexSets.contains(l, v) && rnd.nextBoolean()).toArray
+        val s = Biplex.extend(g, k, l, r, leftOnly = true, deferLeft = Some(v => VertexSets.contains(d, v)))
+        assert(s.right.toSeq == r.toSeq, s"seed $seed: R changed")
+        assert(VertexSets.subsetOf(l, s.left) && Biplex.isKBiplex(g, k, s.left, s.right), s"seed $seed")
+        for (v <- 0 until g.nL if !VertexSets.contains(s.left, v))
+          assert(!Biplex.addableL(g, k, v, s.left, r), s"seed $seed: $v still addable")
+        // A deferred vertex joins iff one is addable after the other vertices.
+        val rest = VertexSets.diff(s.left, d)
+        val joined = VertexSets.intersectCount(s.left, d) > 0
+        assert(joined == d.exists(v => Biplex.addableL(g, k, v, rest, r)), s"seed $seed")
+        if (joined) withDeferred += 1 else if (d.nonEmpty) withoutDeferred += 1
+      }
+      assert(withDeferred > 0 && withoutDeferred > 0, s"$withDeferred / $withoutDeferred")
     }
   }
 

@@ -1,10 +1,12 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.BipartiteGraph
+import repro.gen.BipartiteGen
+import repro.graph.{BipartiteGraph, VertexSets}
+import scala.collection.mutable
 
-/** bTraversal and every iTraversal technique combination against brute
-  * force — the central correctness test of the reproduction. The exclusion
+/** The four traversals of Figure 11 against brute force — the central
+  * correctness test of the reproduction. The exclusion
   * strategy's correctness for iTraversal (whose proof lives in the paper's
   * unavailable technical report) is established here empirically over
   * hundreds of randomized graphs.
@@ -19,7 +21,6 @@ class TraversalSpec extends SparkSpec {
     "iTraversal"           -> (_ => TraversalConfig.iTraversal),
     "iTraversal(L10R10)"   -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.L10R10)),
     "iTraversal(Inflated)" -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.Inflated)),
-    "iTraversal(noInherit)" -> (_ => TraversalConfig.iTraversal.copy(inheritExclusion = false)),
   )
 
   for ((name, mkCfg) <- configs; k <- 1 to 3) {
@@ -87,6 +88,55 @@ class TraversalSpec extends SparkSpec {
       if (b.links > full.links) checked += 1
     }
     assert(checked > 0, "sparsification never fired on the batch")
+  }
+
+  test("golden (solutions, links, easCalls) of the four Figure-11 traversals") {
+    val presets = Seq(TraversalConfig.bTraversal, TraversalConfig.iTraversalNoESNoRS,
+      TraversalConfig.iTraversalNoES, TraversalConfig.iTraversal)
+    // Per graph and k: one (solutions, links, easCalls) per preset above.
+    val golden = Seq(
+      (TestGraphs.random(8, 8, 0.45, 909), 1,
+        Seq((143, 3706, 1449), (143, 1777, 703), (143, 981, 703), (143, 444, 703))),
+      (TestGraphs.random(10, 9, 0.35, 4711), 1,
+        Seq((250, 8854, 3168), (250, 4643, 1678), (250, 2449, 1678), (250, 1469, 1678))),
+      (BipartiteGen.er(12, 12, 50, seed = 3), 1,
+        Seq((566, 28540, 10172), (566, 14547, 5052), (566, 7567, 5052), (566, 4243, 5052))),
+      (TestGraphs.random(7, 7, 0.45, 77), 2,
+        Seq((226, 8006, 1604), (226, 3934, 797), (226, 1532, 797), (226, 845, 797))),
+    )
+    for ((g, k, expected) <- golden; (cfg, (sols, links, eas)) <- presets.zip(expected)) {
+      val st = ReverseSearch.collectAll(g, k, cfg)._2
+      assert((st.solutions, st.links, st.easCalls) == ((sols.toLong, links.toLong, eas.toLong)),
+        s"${cfg.traversal} on $g, k=$k")
+    }
+  }
+
+  private val rootSplitConfigs = Seq(
+    (1, TraversalConfig.iTraversal),
+    (2, TraversalConfig.iTraversal),
+    (1, TraversalConfig.iTraversal.copy(theta = Some((2, 2)), twoHopSeeds = true)),
+  )
+
+  for ((k, cfg) <- rootSplitConfigs) {
+    test(s"H0 plus the per-root-seed runs equal the whole run (k=$k, theta=${cfg.theta})") {
+      val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
+      for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 4600 + k)) {
+        val h0 = Biplex.initialLeftAnchored(g, k)
+        val split = mutable.HashSet.empty[Solution]
+        if (h0.left.length >= thetaL && h0.right.length >= thetaR) split += h0
+        val rootSeeds = (0 until g.nL).filter(v => !VertexSets.contains(h0.left, v))
+        for (v <- rootSeeds) {
+          // The earlier root seeds form the task's initial exclusion set.
+          val excluded = rootSeeds.filter(_ < v).toSet
+          ReverseSearch.run(g, k, cfg, { s =>
+            assert(!s.left.exists(excluded), s"seed $seed: root seed $v reported $s")
+            split += s
+            true
+          }, rootSeed = v)
+        }
+        assert(split.toSet == ReverseSearch.collectAll(g, k, cfg)._1, s"seed $seed")
+      }
+    }
   }
 
   test("first-N early termination returns exactly N solutions and they are valid") {
